@@ -7,6 +7,8 @@ run leaves a directly comparable textual artefact per figure, and prints it
 
 from __future__ import annotations
 
+import os
+import platform
 from pathlib import Path
 
 import pytest
@@ -20,12 +22,21 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+def host_facts() -> str:
+    """One line naming the machine a table was measured on."""
+    return (
+        f"host: {os.cpu_count()} CPUs ({platform.machine()}), "
+        f"Python {platform.python_version()}, {platform.system()}"
+    )
+
+
 @pytest.fixture
 def save_result(results_dir):
-    """Write (and echo) a rendered figure/table."""
+    """Write (and echo) a rendered figure/table with its host facts."""
 
     def save(name: str, text: str) -> None:
         path = results_dir / f"{name}.txt"
+        text = f"{text}\n{host_facts()}"
         path.write_text(text + "\n", encoding="utf-8")
         print(f"\n{text}\n[saved to {path}]")
 

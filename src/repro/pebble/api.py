@@ -16,6 +16,7 @@ tools.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path as FsPath
 from typing import TYPE_CHECKING, Iterable
 
@@ -30,7 +31,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.dataset import Dataset
 from repro.engine.executor import ExecutionResult
 from repro.engine.session import Session
-from repro.errors import CaptureDisabledError
+from repro.errors import CaptureDisabledError, ExecutionError
 from repro.nested.values import DataItem
 from repro.pebble.query import as_pattern, query_provenance
 
@@ -134,6 +135,10 @@ class PebbleSession:
     otherwise -- environment variables are overrides of the defaults, not
     the only path); extra knobs are applied on top via
     :meth:`EngineConfig.replace`, and unknown knob names raise ``TypeError``.
+
+    ``layout="rows"`` is accepted as a deprecated no-op: rows are the only
+    partition representation since 3.0.0, and any other layout raises
+    :class:`~repro.errors.ExecutionError`.
     """
 
     def __init__(
@@ -141,8 +146,20 @@ class PebbleSession:
         *,
         num_partitions: int | None = None,
         config: "EngineConfig | None" = None,
+        layout: str | None = None,
         **knobs: object,
     ):
+        if layout is not None:
+            if layout != "rows":
+                raise ExecutionError(
+                    f"unknown layout {layout!r}; rows are the only partition layout"
+                )
+            warnings.warn(
+                "PebbleSession(layout=...) is deprecated and ignored; "
+                "rows are the only partition layout",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         base = config if config is not None else EngineConfig.from_env()
         if knobs:
             base = base.replace(**knobs)

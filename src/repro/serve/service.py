@@ -234,48 +234,53 @@ class QueryService:
             signature = self._catalog_signature()
             if signature == self._catalog_sig:
                 return False
+            changed = self._refresh_catalog()
+            # Publish last: a request on the unlocked fast path above must
+            # not see the new signature before the stale answers are gone.
             self._catalog_sig = signature
-            run_set_before = set(self._run_shards)
-            self.warehouse.refresh()
-            before, after = self._epochs, self.warehouse.epoch_vector()
-            shards_now = {
-                record.run_id: (record.shard or LEGACY_SHARD)
-                for record in self.warehouse.runs()
-            }
-            # Compare against the *service's* snapshot, not the warehouse's
-            # own refresh verdict: a sweep this very process ran has already
-            # mutated the warehouse in memory, yet the cache is still stale.
-            if after == before and set(shards_now) == run_set_before:
-                return False
-            self._epochs = after
-            bumped = {
-                key
-                for key in set(before) | set(after)
-                if before.get(key, 0) != after.get(key, 0)
-            }
-            bumped_runs = {
-                key[len(RUN_EPOCH_PREFIX):]
-                for key in bumped
-                if key.startswith(RUN_EPOCH_PREFIX)
-            }
-            bumped_shards = bumped - {
-                key for key in bumped if key.startswith(RUN_EPOCH_PREFIX)
-            }
-            stale = {
-                run_id
-                for run_id, shard in shards_now.items()
-                if shard in bumped_shards
-            } | bumped_runs
-            moved = {
-                run_id
-                for run_id, shard in shards_now.items()
-                if self._run_shards.get(run_id, shard) != shard
-            }
-            self._run_shards = shards_now
-            for key in [
-                key for key in self._residents if key[0] in moved | bumped_runs
-            ]:
-                del self._residents[key]
+        return changed
+
+    def _refresh_catalog(self) -> bool:
+        """Reload the catalog and drop what it made stale (under the lock)."""
+        run_set_before = set(self._run_shards)
+        self.warehouse.refresh()
+        before, after = self._epochs, self.warehouse.epoch_vector()
+        shards_now = {
+            record.run_id: (record.shard or LEGACY_SHARD)
+            for record in self.warehouse.runs()
+        }
+        # Compare against the *service's* snapshot, not the warehouse's
+        # own refresh verdict: a sweep this very process ran has already
+        # mutated the warehouse in memory, yet the cache is still stale.
+        if after == before and set(shards_now) == run_set_before:
+            return False
+        self._epochs = after
+        bumped = {
+            key
+            for key in set(before) | set(after)
+            if before.get(key, 0) != after.get(key, 0)
+        }
+        bumped_runs = {
+            key[len(RUN_EPOCH_PREFIX):]
+            for key in bumped
+            if key.startswith(RUN_EPOCH_PREFIX)
+        }
+        bumped_shards = bumped - {
+            key for key in bumped if key.startswith(RUN_EPOCH_PREFIX)
+        }
+        stale = {
+            run_id
+            for run_id, shard in shards_now.items()
+            if shard in bumped_shards
+        } | bumped_runs
+        moved = {
+            run_id
+            for run_id, shard in shards_now.items()
+            if self._run_shards.get(run_id, shard) != shard
+        }
+        self._run_shards = shards_now
+        for key in [key for key in self._residents if key[0] in moved | bumped_runs]:
+            del self._residents[key]
         if bumped:
             self.cache.invalidate_runs(stale)
             if bumped_runs:

@@ -190,10 +190,8 @@ def append_epoch(
         total_bytes += len(segment)
         operators[str(provenance.oid)] = entry
 
-    row_count = len(execution)
-    rows_segment = wf.encode_segment(
-        wf.SEGMENT_ROWS, wf.encode_rows(execution.iter_rows(), count=row_count)
-    )
+    rows = execution.rows()
+    rows_segment = wf.encode_segment(wf.SEGMENT_ROWS, wf.encode_rows(rows))
     (epoch_dir / ROWS_SEGMENT).write_bytes(rows_segment)
     total_bytes += len(rows_segment)
 
@@ -201,7 +199,7 @@ def append_epoch(
         "epoch": epoch,
         "dir": f"{BATCHES_DIR}/epoch-{epoch:04d}",
         "created": created if created is not None else time.time(),
-        "rows": row_count,
+        "rows": len(rows),
         "rows_bytes": len(rows_segment),
         "total_bytes": total_bytes,
         "watermark": watermark,
@@ -217,7 +215,7 @@ def append_epoch(
     manifest["next_pid"] = next_pid
     if watermark is not None:
         manifest["watermark"] = watermark
-    manifest["rows"]["count"] += row_count
+    manifest["rows"]["count"] += len(rows)
     manifest["total_bytes"] += entry["total_bytes"]
     manifest["epochs"].append(entry)
     write_live_manifest(run_dir, manifest)
@@ -603,11 +601,8 @@ class _SealedExecution:
         self.store = store
         self._rows = rows
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def iter_rows(self) -> Iterator[tuple[int | None, DataItem]]:
-        return iter(self._rows)
+    def rows(self) -> list[tuple[int | None, DataItem]]:
+        return self._rows
 
 
 def _chain_order(topology: dict[int, tuple[int, ...]]) -> list[int]:

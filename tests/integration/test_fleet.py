@@ -305,9 +305,10 @@ class TestConnectFacade:
             with pytest.raises(ProvenanceError, match="no run"):
                 client.backtrace(RUNNING_EXAMPLE_PATTERN, run="run-9999-nope")
 
-    def test_serveclient_attribute_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            repro.ServeClient  # noqa: B018 (the access itself is the test)
+    @pytest.mark.parametrize("name", ["Session", "ServeClient"])
+    def test_removed_aliases_raise_attribute_error(self, name):
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
 
 
 class TestFreshRuns:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CaptureDisabledError
+from repro.errors import CaptureDisabledError, ExecutionError
 from repro.pebble.api import CapturedExecution, PebbleSession
 from repro.pebble.query import query_provenance
 from repro.workloads.scenarios import (
@@ -82,3 +82,16 @@ class TestPebbleSession:
         third = captured.backtrace(RUNNING_EXAMPLE_PATTERN)
         assert first.all_ids() == third.all_ids()
         assert second.all_ids() != first.all_ids()
+
+
+@pytest.mark.parametrize("layout", ["rows", "columnar"])
+def test_layout_keyword_is_deprecated(layout, example_tweets):
+    """Rows are the only partition layout: ``rows`` warns, anything else fails."""
+    if layout != "rows":
+        with pytest.raises(ExecutionError, match="unknown layout"):
+            PebbleSession(layout=layout)
+        return
+    with pytest.warns(DeprecationWarning, match="layout"):
+        pebble = PebbleSession(layout=layout)
+    captured = pebble.run(build_running_example(pebble.session, example_tweets))
+    assert captured.backtrace(RUNNING_EXAMPLE_PATTERN).all_ids()["tweets.json"] == [2, 3]
