@@ -203,8 +203,8 @@ class ForwardTracer:
     pass the run's :class:`RunIndex` to evaluate index-assisted.  Results
     are byte-stable: identifiers are assigned by one deterministic executor
     counter regardless of scheduler backend, and every collection here is
-    visited in sorted order -- so serial, threaded, and process-pool
-    captures of the same pipeline produce identical forward answers.
+    visited in sorted order -- so serial and threaded captures of the same
+    pipeline produce identical forward answers.
     """
 
     def __init__(self, execution: ExecutionResult, index: RunIndex | None = None):

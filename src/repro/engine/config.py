@@ -13,10 +13,10 @@ process-wide default and honours environment overrides (``REPRO_SCHEDULER``,
 ``REPRO_OPTIMIZE``, ``REPRO_MAX_WORKERS``, ``REPRO_TASK_TIMEOUT``,
 ``REPRO_MAX_RETRIES``, ``REPRO_RETRY_BACKOFF``, ``REPRO_FAULTS``,
 ``REPRO_PROFILE``) so an entire test suite or benchmark run can be switched
-to, say, the process-pool scheduler without touching call sites.
+to, say, the thread-pool scheduler without touching call sites.
 Environment variables are overrides; every knob is equally settable in code:
 
->>> config = EngineConfig(scheduler="processes").replace(max_retries=3)
+>>> config = EngineConfig(scheduler="threads").replace(max_retries=3)
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "EngineConfig",
     "DEFAULT_NUM_PARTITIONS",
     "ALL_RULES",
+    "SCHEDULERS",
     "resolve_partitions",
 ]
 
@@ -45,7 +46,8 @@ DEFAULT_NUM_PARTITIONS = 4
 #: ``fuse`` pipelines consecutive narrow operators into one stage.
 ALL_RULES: tuple[str, ...] = ("pushdown", "prune", "fuse")
 
-_SCHEDULERS = ("serial", "threads", "processes")
+#: The scheduler backends, in the order ``--scheduler`` lists them.
+SCHEDULERS: tuple[str, ...] = ("serial", "threads")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -53,8 +55,7 @@ class EngineConfig:
     """Immutable execution configuration carried by a ``Session``."""
 
     num_partitions: int = DEFAULT_NUM_PARTITIONS
-    #: ``"serial"``, ``"threads"`` (thread pool over partitions) or
-    #: ``"processes"`` (process pool over pickled stage tasks).
+    #: ``"serial"`` or ``"threads"`` (thread pool over partitions).
     scheduler: str = "serial"
     #: Worker cap for the pool schedulers; ``None`` sizes from the CPU.
     max_workers: int | None = None
@@ -80,9 +81,9 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.num_partitions < 1:
             raise ExecutionError(f"need at least one partition, got {self.num_partitions}")
-        if self.scheduler not in _SCHEDULERS:
+        if self.scheduler not in SCHEDULERS:
             raise ExecutionError(
-                f"unknown scheduler {self.scheduler!r}; pick one of {_SCHEDULERS}"
+                f"unknown scheduler {self.scheduler!r}; pick one of {SCHEDULERS}"
             )
         unknown = set(self.rules) - set(ALL_RULES)
         if unknown:
@@ -106,7 +107,7 @@ class EngineConfig:
     def replace(self, **changes: object) -> "EngineConfig":
         """Return a copy with the given knobs overridden (the builder API).
 
-        ``config.replace(scheduler="processes", max_retries=3)`` is the
+        ``config.replace(scheduler="threads", max_retries=3)`` is the
         code-level equivalent of the environment switches; unknown knob
         names raise ``TypeError`` and the copy is re-validated.
         """

@@ -29,7 +29,6 @@ hook needs ids, so the plain path carries no provenance cost.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Sequence
 
@@ -199,9 +198,8 @@ class Executor:
             from repro.obs.profile import SamplingProfiler
 
             profiler = SamplingProfiler().start()
-        # The context-manager protocol shuts the scheduler's pools down on
-        # the error path too (a raising stage must not leak worker threads
-        # or processes).
+        # The context-manager protocol shuts the scheduler's pool down on
+        # the error path too (a raising stage must not leak worker threads).
         try:
             with make_scheduler(self._config) as scheduler:
                 with run_span, Stopwatch() as watch:
@@ -346,9 +344,6 @@ class Executor:
         in_partitions = self._partitions[stage.input_oid]
         nparts = len(in_partitions)
         capturing = self._capturing
-        tracer = get_tracer()
-        trace_epoch = tracer.epoch if tracer.enabled else None
-        origin_pid = os.getpid()
         stage_label = stage.label()
         sampling = [
             type(op).propagate_schema is NarrowOp.propagate_schema for op in ops
@@ -404,8 +399,6 @@ class Executor:
                     capturing=capturing,
                     stage_label=stage_label,
                     part=part,
-                    trace_epoch=trace_epoch,
-                    origin_pid=origin_pid,
                     fault_plan=self._fault_plan,
                 )
                 for part in range(nparts)
@@ -418,8 +411,6 @@ class Executor:
                     counts[part][position] = result.counts[offset]
                     if result.samples[offset] is not None:
                         samples[position][part] = result.samples[offset]
-                for span in result.spans:  # worker-side spans -> parent trace
-                    tracer.record_span(span)
 
             # Runtime schemas along the executed segment: structure-preserving
             # ops propagate, rebuilding ops are inferred from the first
@@ -441,7 +432,7 @@ class Executor:
 
         if capturing:
             in_pids = [[pid for pid, _ in partition] for partition in in_partitions]
-            with tracer.span("capture-finalize", "capture", stage=stage_label):
+            with get_tracer().span("capture-finalize", "capture", stage=stage_label):
                 out_ids = self._finalize_fused(
                     ops, in_pids, entries_by_part, counts, schema_before
                 )

@@ -56,9 +56,9 @@ __all__ = [
 
 # -- named operand functions --------------------------------------------------
 #
-# Expression nodes are shipped to process-pool workers inside pickled
-# ``StageTask`` descriptors; module-level functions pickle by reference while
-# lambdas do not, so every derived-expression semantic lives here by name.
+# Every derived-expression semantic (and/or/not, null checks, contains, ...)
+# lives here as one named module-level function rather than an inline
+# lambda, so each rule is defined once and tracebacks name it.
 
 
 def _logical_and(a: Any, b: Any) -> bool:

@@ -55,9 +55,9 @@ def _fraction(seed: int, key: str, attempt: int) -> float:
 class FaultPlan:
     """One parsed probe; applied inside every stage task before it runs.
 
-    Instances are immutable and picklable, so a plan travels to process-pool
-    workers inside the :class:`~repro.engine.physical.StageTask` descriptor
-    and fires identically in-process and out-of-process.
+    Instances are immutable, so one plan is shared by every
+    :class:`~repro.engine.physical.StageTask` of a run and fires identically
+    on the calling thread and on pool threads.
     """
 
     mode: str

@@ -166,7 +166,8 @@ def capture_spec(hooks: Iterable[CaptureHook]) -> bool:
     id-assignment state); the only hook-derived state a partition task needs
     is whether any hook requires per-row provenance ids -- i.e. whether the
     operators must record trace entries for the serial finalisation pass.
-    The flag is plain data, so it travels inside pickled ``StageTask``s.
+    The flag is plain data carried by each ``StageTask``; hooks never run
+    inside a task.
     """
     return any(hook.needs_ids for hook in hooks)
 

@@ -99,8 +99,8 @@ def hash_partition(
     """Repartition *rows* by ``stable_hash(key) % num_partitions`` (a shuffle).
 
     The shuffle previously keyed on builtin ``hash()``, which is randomized
-    per interpreter for strings: two pool workers (or two recorded runs)
-    could disagree on a row's bucket.  :func:`stable_hash` pins the
+    per interpreter for strings: two recorded runs could disagree on a
+    row's bucket.  :func:`stable_hash` pins the
     assignment across processes.
     """
     partitions: list[list[Row]] = [[] for _ in range(num_partitions)]

@@ -18,13 +18,14 @@ class ReproError(Exception):
     """Base class for all errors raised by this library.
 
     ``retryable`` classifies the failure for the scheduler's fault-tolerance
-    layer: transient errors (timeouts, lost workers, injected faults) may be
-    retried with backoff, everything else fails the run immediately.  Callers
+    layer: transient errors (timeouts, injected faults) may be retried with
+    backoff, everything else fails the run immediately.  Callers
     classify through this attribute rather than string-matching messages.
 
     ``code`` is the stable wire identifier of the failure mode; subclasses
     narrow it.  It is part of the ``/v1`` API contract -- never recycle a
-    code for a different meaning.
+    code for a different meaning; codes retired with their classes are
+    listed in ``docs/MIGRATION.md`` and stay unused.
     """
 
     retryable: bool = False
@@ -42,12 +43,6 @@ class TaskTimeoutError(TransientError):
     """A partition task exceeded the configured per-task timeout."""
 
     code = "deadline_exceeded"
-
-
-class WorkerLostError(TransientError):
-    """A pool worker died before delivering its task's result."""
-
-    code = "worker_lost"
 
 
 class InjectedFault(TransientError):

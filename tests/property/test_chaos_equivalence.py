@@ -2,9 +2,9 @@
 
 Extends the optimizer-equivalence properties with the fault-tolerance layer:
 for random plan shapes, a run with deterministic injected faults (healed by
-the scheduler's retry protocol) under any backend -- serial, thread pool, or
-process pool -- must produce results, provenance stores, and backtrace
-answers identical to the fault-free seed execution.  This pins the retry
+the scheduler's retry protocol) under either backend -- serial or thread
+pool -- must produce results, provenance stores, and backtrace answers
+identical to the fault-free seed execution.  This pins the retry
 protocol's core soundness claim: stage tasks are pure, so re-execution is
 invisible in every observable output.
 """
@@ -31,13 +31,6 @@ CHAOS_VARIANTS = (
     (
         "threads+faults",
         EngineConfig(scheduler="threads", faults="flaky_once:0.5", retry_backoff=0.0),
-    ),
-    ("processes", EngineConfig(scheduler="processes")),
-    (
-        "processes+faults",
-        EngineConfig(
-            scheduler="processes", faults="flaky_once:0.5", retry_backoff=0.0
-        ),
     ),
 )
 

@@ -67,9 +67,8 @@ class TestStableHash:
     """The shuffle hash must not depend on ``PYTHONHASHSEED``.
 
     The builtin ``hash()`` the shuffle previously used is randomized per
-    interpreter for strings, so two process-pool workers (or two recorded
-    runs of the same pipeline) could assign the same row to different
-    partitions.
+    interpreter for strings, so two recorded runs of the same pipeline
+    could assign the same row to different partitions.
     """
 
     def test_equal_keys_across_numeric_types_share_buckets(self):

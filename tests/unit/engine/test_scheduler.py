@@ -1,37 +1,27 @@
 """Unit tests for the scheduler backends (order, errors, retry, lifecycle)."""
 
 import functools
-import os
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.engine.config import EngineConfig
+from repro.engine.expressions import col
 from repro.engine.scheduler import (
-    ProcessPoolScheduler,
     RetryPolicy,
     SerialScheduler,
     ThreadPoolScheduler,
     backoff_schedule,
     make_scheduler,
 )
+from repro.engine.session import Session
 from repro.errors import ExecutionError, TaskTimeoutError, TransientError
+from repro.obs.tracer import Tracer, iter_b_e_pairs, tracing
 
 
 def _return_value(value):
-    """Module-level so the process pool can pickle it by reference."""
     return value
-
-
-def _crash_once(marker):
-    """Kill the worker process on the first call, succeed afterwards."""
-    path = Path(marker)
-    if not path.exists():
-        path.write_text("crashed")
-        os._exit(1)
-    return "survived"
 
 
 def _sleep_then_return(seconds, value):
@@ -240,52 +230,51 @@ class TestTimeouts:
         finally:
             backend.close()
 
+    def test_thread_pool_budget_starts_when_the_task_runs(self):
+        """A task is judged by its own run time, as on the serial backend,
+        not from when the driver begins waiting on it."""
+        policy = RetryPolicy(max_retries=0, backoff=0.0, task_timeout=0.3)
+        tasks = [
+            functools.partial(_sleep_then_return, 0.25, 0.25),
+            functools.partial(_sleep_then_return, 0.45, 0.45),
+        ]
+        serial = SerialScheduler(policy=policy)
+        with pytest.raises(TaskTimeoutError, match="budget"):
+            serial.run(tasks)
+        with ThreadPoolScheduler(2, policy=policy) as pooled:
+            with pytest.raises(TaskTimeoutError, match="budget"):
+                pooled.run(tasks)
+            assert pooled.stats.timeouts == 1
+
     def test_fast_tasks_are_unaffected_by_the_budget(self):
         backend = SerialScheduler(policy=RetryPolicy(task_timeout=5.0))
         assert backend.run([functools.partial(_return_value, 3)]) == [3]
         assert backend.stats.timeouts == 0
 
 
-class TestProcessPool:
-    def test_runs_picklable_tasks(self):
-        backend = ProcessPoolScheduler(
-            max_workers=1, policy=RetryPolicy(backoff=0.0)
+class TestTaskSpans:
+    def test_pool_thread_task_spans_carry_the_retry_attempt(self):
+        """Tasks on pool threads record straight into the active tracer."""
+        config = EngineConfig(
+            scheduler="threads", faults="flaky_once:1.0", retry_backoff=0.0
         )
-        try:
-            tasks = [functools.partial(_return_value, index) for index in range(3)]
-            assert backend.run(tasks) == [0, 1, 2]
-        finally:
-            backend.close()
-
-    def test_worker_death_is_transient_and_pool_rebuilds(self, tmp_path):
-        marker = tmp_path / "crashed.marker"
-        backend = ProcessPoolScheduler(
-            max_workers=1, policy=RetryPolicy(max_retries=2, backoff=0.0)
+        session = Session(num_partitions=2, config=config)
+        dataset = session.create_dataset(
+            [{"id": index, "score": index % 5} for index in range(20)]
         )
-        try:
-            result = backend.run([functools.partial(_crash_once, str(marker))])
-            assert result == ["survived"]
-            assert backend.stats.worker_losses >= 1
-            assert backend.stats.retries >= 1
-        finally:
-            backend.close()
-
-    def test_unpicklable_task_fails_without_retry(self):
-        backend = ProcessPoolScheduler(
-            max_workers=1, policy=RetryPolicy(max_retries=3, backoff=0.0)
-        )
-        try:
-            with pytest.raises(Exception) as excinfo:
-                backend.run([lambda: 1])
-            assert not getattr(excinfo.value, "retryable", False)
-        finally:
-            backend.close()
-
-    def test_closed_scheduler_rejects_work(self):
-        backend = ProcessPoolScheduler(max_workers=1)
-        backend.close()
-        with pytest.raises(ExecutionError, match="closed"):
-            backend.run([functools.partial(_return_value, 1)])
+        tracer = Tracer()
+        with tracing(tracer):
+            execution = dataset.filter(col("score") > 1).select("id").execute(
+                capture=True
+            )
+        assert len(execution.items()) == 12
+        spans = tracer.find("task")
+        assert spans
+        assert all(span.tid != threading.get_ident() for span in spans)
+        # flaky_once:1.0 fails every task's first attempt, so only the
+        # second attempt gets to record its span.
+        assert all(span.args["attempt"] == 2 for span in spans)
+        list(iter_b_e_pairs(tracer.chrome_events()))  # raises on imbalance
 
 
 class TestFactory:
@@ -296,8 +285,6 @@ class TestFactory:
             assert isinstance(threaded, ThreadPoolScheduler)
         finally:
             threaded.close()
-        with make_scheduler(EngineConfig(scheduler="processes")) as pooled:
-            assert isinstance(pooled, ProcessPoolScheduler)
 
     def test_policy_comes_from_config(self):
         backend = make_scheduler(
